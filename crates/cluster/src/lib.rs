@@ -32,7 +32,9 @@
 //! * the barrier is *poisonable*: the first failure wakes every current and
 //!   future waiter with an error instead of blocking forever;
 //! * an abort packet is broadcast to every mailbox, so ranks blocked in
-//!   [`NodeCtx::recv`] (and every collective built on it) wake up;
+//!   [`NodeCtx::recv`] (and every collective built on it) wake up; frames
+//!   delivered before the abort are still received, so a collective every
+//!   rank finished sending completes everywhere;
 //! * every communication primitive returns `Result`, surfacing
 //!   [`ClusterError::Aborted`] with the originating rank;
 //! * [`run_cluster`] returns the *originating* error — peers' secondary
@@ -1180,21 +1182,31 @@ impl<'a> NodeCtx<'a> {
         }
         let deadline = Instant::now() + timeout;
         loop {
-            if self.abort.is_flagged() {
-                return Err(self.aborted());
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let timeout_err =
-                || ClusterError::Timeout { rank: self.rank, phase: format!("recv from {src}") };
-            if remaining.is_zero() {
-                return Err(timeout_err());
-            }
-            let packet = match self.mailbox.recv_timeout(remaining) {
-                Ok(p) => p,
-                Err(RecvTimeoutError::Timeout) => return Err(timeout_err()),
-                // All senders gone: only possible when the run is tearing
-                // down, which implies an abort is in flight.
-                Err(RecvTimeoutError::Disconnected) => return Err(self.aborted()),
+            let packet = if self.abort.is_flagged() {
+                // Frames already in the mailbox were sent before the abort
+                // (its packet queues behind them), so they still complete
+                // the collective they belong to: a peer that finished
+                // iteration k and failed in k+1 must not cost this rank
+                // iteration k. Only an empty mailbox, or the abort packet
+                // itself, ends the wait.
+                match self.mailbox.try_recv() {
+                    Ok(p) => p,
+                    Err(_) => return Err(self.aborted()),
+                }
+            } else {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                let timeout_err =
+                    || ClusterError::Timeout { rank: self.rank, phase: format!("recv from {src}") };
+                if remaining.is_zero() {
+                    return Err(timeout_err());
+                }
+                match self.mailbox.recv_timeout(remaining) {
+                    Ok(p) => p,
+                    Err(RecvTimeoutError::Timeout) => return Err(timeout_err()),
+                    // All senders gone: only possible when the run is tearing
+                    // down, which implies an abort is in flight.
+                    Err(RecvTimeoutError::Disconnected) => return Err(self.aborted()),
+                }
             };
             if packet.crc != frame_crc(packet.from, packet.seq, packet.epoch, packet.flow) {
                 return Err(ClusterError::CorruptFrame {
@@ -1889,6 +1901,33 @@ mod tests {
             ClusterError::MemoryExceeded { rank: 0, requested: 500, .. } => {}
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn frames_sent_before_an_abort_are_still_received() {
+        // Rank 1 sends, then trips its cap. Rank 0 asks for the frame only
+        // once the abort is flagged: the frame was delivered first, so the
+        // receive completes; a second receive has nothing left and aborts.
+        let cfg = ClusterConfig::new(2).with_memory_limit(100);
+        let seen = Mutex::new(Vec::new());
+        let err = run_cluster(&cfg, |ctx| {
+            if ctx.rank() == 1 {
+                ctx.send(0, 7u32)?;
+                ctx.memory().alloc(500)?;
+                return Ok(());
+            }
+            while !ctx.abort.is_flagged() {
+                std::thread::yield_now();
+            }
+            seen.lock().push(ctx.recv::<u32>(1));
+            seen.lock().push(ctx.recv::<u32>(1));
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(matches!(err, ClusterError::MemoryExceeded { rank: 1, .. }), "{err:?}");
+        let seen = seen.into_inner();
+        assert_eq!(seen[0], Ok(7));
+        assert!(matches!(seen[1], Err(ClusterError::Aborted { origin: 1, .. })), "{:?}", seen[1]);
     }
 
     #[test]

@@ -16,13 +16,22 @@
 //!    reduced reaction. Sign bookkeeping: an irreversible member forces the
 //!    subset direction; members forcing opposite directions block the whole
 //!    subset.
+//! 4. **Sign analysis** — exact LPs find reactions that no steady-state
+//!    flux respecting irreversibility can use (removed) and reversible
+//!    reactions that can only run one way (made irreversible).
+//!
+//! The stages repeat until nothing changes. A round costs one RREF (for the
+//! independent rows) and one kernel basis; the LP stage only runs once the
+//! kernel stages are at a fixpoint, and every flux a feasible LP returns is
+//! kept and, after an exact re-check, certifies directions in later LP
+//! rounds without solving again.
 //!
 //! Each reduced EFM expands to exactly one original EFM (and vice versa),
 //! so EFM *counts* are invariant under this compression — the property the
 //! reproduction of the paper's Tables II–IV relies on.
 
 use crate::model::MetabolicNetwork;
-use efm_linalg::{kernel_basis, lp_feasible, rank_of_cols, LpProblem, Mat};
+use efm_linalg::{kernel_basis, lp_feasible, rref, LpProblem, Mat};
 use efm_numeric::Rational;
 
 /// A compressed network plus the bookkeeping needed to expand modes back.
@@ -106,22 +115,15 @@ pub struct CompressionStats {
     /// Reversible reactions found to be feasible in one direction only and
     /// turned irreversible.
     pub direction_fixed: usize,
+    /// Exact LPs solved by the sign analysis (feasible or not).
+    pub lp_solves: usize,
 }
 
 impl ReducedNetwork {
     /// Expands a reduced flux vector to the original reaction space.
     pub fn expand_flux(&self, reduced: &[Rational]) -> Vec<Rational> {
         assert_eq!(reduced.len(), self.reversible.len(), "reduced flux length");
-        let mut out = vec![Rational::zero(); self.num_original];
-        for (j, mem) in self.members.iter().enumerate() {
-            if reduced[j].is_zero() {
-                continue;
-            }
-            for (orig, c) in mem {
-                out[*orig] = c.mul(&reduced[j]);
-            }
-        }
-        out
+        expand(&self.members, self.num_original, reduced)
     }
 
     /// Expands a reduced support (indices of nonzero reduced reactions) to
@@ -144,24 +146,53 @@ impl ReducedNetwork {
     }
 }
 
-/// Selects a maximal linearly independent subset of rows (by index order).
-fn independent_rows(m: &Mat<Rational>) -> Vec<usize> {
-    // Incremental: add each row to the basis if it increases the rank.
-    // Rank checks run on the transpose so we can reuse rank_of_cols.
-    let t = m.transpose();
-    let mut kept: Vec<usize> = Vec::new();
-    let mut scratch = Vec::new();
-    let mut current_rank = 0;
-    for r in 0..m.rows() {
-        kept.push(r);
-        let rank = rank_of_cols(&t, &kept, &mut scratch);
-        if rank > current_rank {
-            current_rank = rank;
-        } else {
-            kept.pop();
+/// Original-space flux of a reduced flux: original flux = coefficient ×
+/// reduced flux for every member, zero for reactions no member covers.
+fn expand(
+    members: &[Vec<(usize, Rational)>],
+    num_original: usize,
+    reduced: &[Rational],
+) -> Vec<Rational> {
+    let mut out = vec![Rational::zero(); num_original];
+    for (mem, v) in members.iter().zip(reduced) {
+        if v.is_zero() {
+            continue;
+        }
+        for (orig, c) in mem {
+            out[*orig] = c.mul(v);
         }
     }
-    kept
+    out
+}
+
+/// Projects an original-space flux onto the reduced reactions. Returns
+/// `None` unless the projection is exact and feasible: every member carries
+/// its coefficient × the reduced flux, irreversible reduced reactions run
+/// forward, and `stoich · w = 0`.
+fn project_witness(
+    w: &[Rational],
+    stoich: &Mat<Rational>,
+    reversible: &[bool],
+    members: &[Vec<(usize, Rational)>],
+) -> Option<Vec<Rational>> {
+    let mut reduced = Vec::with_capacity(members.len());
+    for (mem, &rev) in members.iter().zip(reversible) {
+        let (first, c0) = &mem[0];
+        let v = w[*first].div(c0);
+        if (!rev && v.signum() < 0) || mem.iter().any(|(o, c)| c.mul(&v) != w[*o]) {
+            return None;
+        }
+        reduced.push(v);
+    }
+    stoich.matvec(&reduced).iter().all(Rational::is_zero).then_some(reduced)
+}
+
+/// Selects a maximal linearly independent subset of rows, greedily in index
+/// order: row `r` is kept when it is independent of rows `0..r`. On the
+/// transpose that is exactly when column `r` gets a pivot in a
+/// left-to-right RREF, so one elimination decides every row.
+fn independent_rows(m: &Mat<Rational>) -> Vec<usize> {
+    rref(&m.transpose()).pivot_cols
 }
 
 /// One group of proportional kernel rows: `(row indices, ratios relative
@@ -229,6 +260,10 @@ pub fn compress_with(
     let q0 = net.num_reactions();
     let mut members: Vec<Vec<(usize, Rational)>> =
         (0..q0).map(|i| vec![(i, Rational::one())]).collect();
+    // Steady-state fluxes returned by feasible sign-analysis LPs, in
+    // original reaction space. Compression keeps every such flux feasible,
+    // so a later LP round re-checks and reuses them instead of re-solving.
+    let mut witnesses: Vec<Vec<Rational>> = Vec::new();
 
     loop {
         stats.rounds += 1;
@@ -340,17 +375,16 @@ pub fn compress_with(
         }
 
         if !options.sign_analysis {
-            if !changed {
-                break;
-            }
-            continue;
+            break;
         }
 
         // (4) Exact-LP sign analysis: a reaction whose only steady-state
         // fluxes violate irreversibility is blocked even though its kernel
         // row is nonzero; a reversible reaction feasible in one direction
         // only becomes irreversible. Witnesses returned by feasible solves
-        // certify directions for many reactions at once, so few LPs run.
+        // certify directions for many reactions at once, so few LPs run;
+        // witnesses of earlier rounds that still pass an exact check
+        // certify directions before any LP of this round.
         let q = stoich.cols();
         if q > 0 && stoich.rows() > 0 {
             let mut fwd_ok = vec![false; q];
@@ -378,15 +412,23 @@ pub fn compress_with(
                 let nonneg: Vec<bool> = reversible.iter().map(|&r| !r).collect();
                 lp_feasible(&LpProblem { a, b, nonneg })
             };
-            for j in 0..q {
-                if !fwd_ok[j] {
-                    if let Some(w) = solve_dir(j, 1) {
-                        absorb_witness(&w, &mut fwd_ok, &mut bwd_ok);
-                    }
+            witnesses.retain(|w| match project_witness(w, &stoich, &reversible, &members) {
+                Some(red) => {
+                    absorb_witness(&red, &mut fwd_ok, &mut bwd_ok);
+                    true
                 }
-                if reversible[j] && !bwd_ok[j] {
-                    if let Some(w) = solve_dir(j, -1) {
+                None => false,
+            });
+            for j in 0..q {
+                for dir in [1, -1] {
+                    let certified = if dir == 1 { fwd_ok[j] } else { !reversible[j] || bwd_ok[j] };
+                    if certified {
+                        continue;
+                    }
+                    stats.lp_solves += 1;
+                    if let Some(w) = solve_dir(j, dir) {
                         absorb_witness(&w, &mut fwd_ok, &mut bwd_ok);
+                        witnesses.push(expand(&members, q0, &w));
                     }
                 }
             }
@@ -460,6 +502,98 @@ pub fn compress_with(
 mod tests {
     use super::*;
     use crate::parser::parse_network;
+    use efm_linalg::rank_of_cols;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Reference for [`independent_rows`]: grows the basis one row at a
+    /// time, keeping a row when it raises the rank (one elimination per
+    /// row).
+    fn independent_rows_incremental(m: &Mat<Rational>) -> Vec<usize> {
+        let t = m.transpose();
+        let mut kept: Vec<usize> = Vec::new();
+        let mut scratch = Vec::new();
+        for r in 0..m.rows() {
+            kept.push(r);
+            if rank_of_cols(&t, &kept, &mut scratch) < kept.len() {
+                kept.pop();
+            }
+        }
+        kept
+    }
+
+    /// A random rational matrix whose rows mix random rows with injected
+    /// zero rows, (scaled) duplicates and sums of earlier rows.
+    fn random_dependent_matrix(seed: u64) -> Mat<Rational> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cols = rng.gen_range(0..8usize);
+        let mut rows: Vec<Vec<Rational>> = Vec::new();
+        for _ in 0..rng.gen_range(0..10usize) {
+            let row = match rng.gen_range(0..4u8) {
+                0 => vec![Rational::zero(); cols],
+                1 if !rows.is_empty() => {
+                    let src = rows[rng.gen_range(0..rows.len())].clone();
+                    let k = Rational::from_i64(rng.gen_range(-3..=3i64));
+                    src.iter().map(|v| v.mul(&k)).collect()
+                }
+                2 if !rows.is_empty() => {
+                    let a = &rows[rng.gen_range(0..rows.len())];
+                    let b = &rows[rng.gen_range(0..rows.len())];
+                    a.iter().zip(b).map(|(x, y)| x.add(y)).collect()
+                }
+                _ => (0..cols)
+                    .map(|_| {
+                        let num = Rational::from_i64(rng.gen_range(-4..=4i64));
+                        num.div(&Rational::from_i64(rng.gen_range(1..=3i64)))
+                    })
+                    .collect(),
+            };
+            rows.push(row);
+        }
+        Mat::from_rows(rows)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_elimination_picks_the_incremental_basis(seed in any::<u64>()) {
+            let m = random_dependent_matrix(seed);
+            prop_assert_eq!(independent_rows(&m), independent_rows_incremental(&m));
+        }
+    }
+
+    #[test]
+    fn stale_witnesses_are_rejected() {
+        // r1 : Aext => A, r2 : A => Bext, r3 : A <=> Cext.
+        let net = parse_network(
+            "r1 : Aext => A\n\
+             r2 : A => Bext\n\
+             r3 : A <=> Cext\n",
+        )
+        .unwrap();
+        let stoich = net.stoichiometry();
+        let reversible = net.reversibilities();
+        let members: Vec<Vec<(usize, Rational)>> =
+            (0..3).map(|i| vec![(i, Rational::one())]).collect();
+        let flux = |v: [i64; 3]| v.map(Rational::from_i64).to_vec();
+        // Feasible: A is balanced and the irreversible reactions run forward.
+        assert_eq!(
+            project_witness(&flux([1, 1, 0]), &stoich, &reversible, &members),
+            Some(flux([1, 1, 0]))
+        );
+        assert!(project_witness(&flux([1, 0, 1]), &stoich, &reversible, &members).is_some());
+        // Unbalanced A.
+        assert_eq!(project_witness(&flux([1, 0, 0]), &stoich, &reversible, &members), None);
+        // An irreversible reaction running backwards.
+        assert_eq!(project_witness(&flux([-1, 0, -1]), &stoich, &reversible, &members), None);
+        // Members of one reduced reaction out of their ratio.
+        let merged =
+            vec![vec![(0, Rational::one()), (1, Rational::one())], vec![(2, Rational::one())]];
+        let stoich2 = Mat::<Rational>::zeros(0, 2);
+        assert!(project_witness(&flux([2, 2, 0]), &stoich2, &[false, true], &merged).is_some());
+        assert_eq!(project_witness(&flux([2, 1, 0]), &stoich2, &[false, true], &merged), None);
+    }
 
     #[test]
     fn toy_network_reduces_to_4x8() {

@@ -7,7 +7,8 @@
 //!   internal-metabolite stoichiometry matrix;
 //! * [`parse_network`] — the text format of the paper's reaction listings;
 //! * [`compress`] — EFM-preserving network reduction (redundant rows,
-//!   blocked reactions, enzyme subsets) with exact mode re-expansion;
+//!   blocked reactions, enzyme subsets, LP sign analysis) with exact mode
+//!   re-expansion;
 //! * [`yeast`] — the S. cerevisiae Networks I and II of Figs. 3–5;
 //! * [`examples`] / [`generator`] — small known-answer networks and
 //!   random/structured workload generators.
